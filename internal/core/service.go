@@ -304,8 +304,10 @@ func (s *Service) Submit(spec RunSpec) (RunInfo, error) { return s.disp.Submit(s
 func (s *Service) Get(id string) (RunInfo, error) { return s.store.Get(id) }
 
 // Await blocks until the run reaches a terminal state or ctx is done and
-// returns the latest snapshot either way; it fails only on unknown IDs.
-// This backs the HTTP API's ?wait= long-poll.
+// returns the latest snapshot either way; it fails on unknown IDs, or when
+// the durable store could not sync the terminal record. A terminal state
+// is reported only once its record is durable. This backs the HTTP API's
+// ?wait= long-poll.
 func (s *Service) Await(ctx context.Context, id string) (RunInfo, error) {
 	return s.store.Await(ctx, id)
 }

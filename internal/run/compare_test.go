@@ -109,10 +109,12 @@ func TestEvictionTieBreakDeterministic(t *testing.T) {
 	// Force a full FinishedAt tie so only the comparator decides.
 	now := time.Now().Round(0)
 	for _, id := range ids {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		sh.runs[id].run.FinishedAt = &now
-		sh.mu.Unlock()
+		r, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.FinishedAt = &now
+		s.Restore(r)
 	}
 	survivorsWant := make(map[string]bool)
 	all := s.List() // CompareRuns order; the last 3 must survive EvictTerminal(3)

@@ -18,3 +18,16 @@ func TestStoreConformance(t *testing.T) {
 		return s
 	})
 }
+
+// TestStoreHistoryConformance runs the crafted-history eviction cases
+// against the in-memory backend, restoring each run in the given order.
+func TestStoreHistoryConformance(t *testing.T) {
+	storetest.RunHistory(t, func(t *testing.T, history []run.Run) run.Store {
+		s := run.NewMemStore()
+		for _, r := range history {
+			s.Restore(r)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	})
+}

@@ -56,13 +56,15 @@ type Store interface {
 	// running → cancel hook invoked).
 	Cancel(id string) (Run, error)
 	// Await blocks until the run is terminal or ctx is done, returning the
-	// latest snapshot either way.
+	// latest snapshot either way. A durable backend returns a terminal
+	// snapshot only once the record that made it terminal is durable.
 	Await(ctx context.Context, id string) (Run, error)
 	// Delete removes a run entirely (submit-rollback path; see
 	// MemStore.Delete for the semantics).
 	Delete(id string) error
 	// EvictTerminal deletes the oldest-finished terminal runs so at most
-	// keep remain, returning how many were evicted.
+	// keep remain, returning how many were evicted. Its cost is
+	// O(evicted · log retained), not a scan of history.
 	EvictTerminal(keep int) int
 	// Close releases backend resources (file handles, buffers). The
 	// in-memory store's Close is a no-op.
@@ -113,6 +115,7 @@ const numShards = 16
 type MemStore struct {
 	shards [numShards]shard
 	seq    atomic.Uint64
+	retain retention
 }
 
 var _ Store = (*MemStore)(nil)
@@ -125,11 +128,114 @@ type shard struct {
 // tracked is the store's live record for one run: the run itself, the
 // dispatcher's cancel hook while the run is in flight, and a done channel
 // closed exactly once when the run enters a terminal state (or is deleted
-// before reaching one), which is what Await long-polls block on.
+// before reaching one), which is what Await long-polls block on. slot is
+// the run's position in the retention index.
 type tracked struct {
 	run    Run
 	cancel context.CancelFunc
 	done   chan struct{}
+	slot   int
+}
+
+// retention is MemStore's finish-ordered index of evictable runs: a binary
+// min-heap of every terminal run with a FinishedAt, keyed by (FinishedAt,
+// CreatedAt, ID), so eviction pops exactly its victims instead of copying
+// and sorting history. An entry costs one pointer in the heap plus the
+// tracked's slot (heap index + 1, 0 while unindexed), which is what lets
+// Delete and Restore unlink a run in O(log n).
+//
+// An indexed run is terminal, so its key fields never change; Restore over
+// a terminal entry installs a fresh tracked rather than rewriting the
+// indexed one. Lock order is shard lock, then mu: Finish, Cancel, Restore
+// and Delete update the index while holding the run's shard lock, and
+// EvictTerminalIDs pops its victims under mu alone, releasing it before it
+// takes any shard lock.
+type retention struct {
+	mu   sync.Mutex
+	heap []*tracked
+}
+
+func (h *retention) less(i, j int) bool {
+	a, b := &h.heap[i].run, &h.heap[j].run
+	if !a.FinishedAt.Equal(*b.FinishedAt) {
+		return a.FinishedAt.Before(*b.FinishedAt)
+	}
+	return comparePosition(a.CreatedAt.UnixNano(), a.ID, b.CreatedAt.UnixNano(), b.ID) < 0
+}
+
+func (h *retention) swap(i, j int) {
+	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+	h.heap[i].slot = i + 1
+	h.heap[j].slot = j + 1
+}
+
+func (h *retention) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			return
+		}
+		h.swap(i, p)
+		i = p
+	}
+}
+
+func (h *retention) down(i int) {
+	n := len(h.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.swap(i, c)
+		i = c
+	}
+}
+
+// add indexes t if it is terminal with a FinishedAt. Callers hold t's
+// shard lock.
+func (h *retention) add(t *tracked) {
+	if !t.run.State.Terminal() || t.run.FinishedAt == nil {
+		return
+	}
+	h.mu.Lock()
+	h.heap = append(h.heap, t)
+	t.slot = len(h.heap)
+	h.up(len(h.heap) - 1)
+	h.mu.Unlock()
+}
+
+// removeLocked unlinks the entry at heap index i and returns it. Callers
+// hold mu.
+func (h *retention) removeLocked(i int) *tracked {
+	t := h.heap[i]
+	last := len(h.heap) - 1
+	if i != last {
+		h.swap(i, last)
+	}
+	h.heap[last] = nil
+	h.heap = h.heap[:last]
+	if i != last {
+		h.down(i)
+		h.up(i)
+	}
+	t.slot = 0
+	return t
+}
+
+// remove unlinks t if it is indexed. Callers hold t's shard lock.
+func (h *retention) remove(t *tracked) {
+	h.mu.Lock()
+	if t.slot > 0 {
+		h.removeLocked(t.slot - 1)
+	}
+	h.mu.Unlock()
 }
 
 // NewMemStore returns an empty MemStore.
@@ -186,24 +292,34 @@ func (s *MemStore) Create(spec Spec) (Run, error) {
 // in-memory state by restoring each surviving run on boot. Terminal
 // restores arrive with their done channel already closed so Await returns
 // immediately; restoring a terminal snapshot over a live entry releases
-// its waiters.
+// its waiters. Restores may come in any order: a terminal run joins the
+// retention index at its (FinishedAt, CreatedAt, ID) position, and a
+// restore over a terminal entry takes that entry's place in the index.
 func (s *MemStore) Restore(r Run) {
 	sh := s.shardFor(r.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	t, ok := sh.runs[r.ID]
 	if !ok {
-		t = &tracked{done: make(chan struct{})}
-		sh.runs[r.ID] = t
 		// Keep the ID sequence moving so fresh Create IDs don't reuse the
 		// low sequence numbers restored runs already occupy (the random
 		// suffix would disambiguate, but distinct prefixes read better).
 		s.seq.Add(1)
 	}
-	if r.State.Terminal() && !t.run.State.Terminal() {
+	if !ok || t.run.State.Terminal() {
+		// An indexed run never changes, so a terminal entry is replaced
+		// rather than rewritten; its waiters were released long ago.
+		if ok {
+			s.retain.remove(t)
+		}
+		t = &tracked{done: make(chan struct{})}
+		sh.runs[r.ID] = t
+	}
+	if r.State.Terminal() {
 		close(t.done)
 	}
 	t.run = r
+	s.retain.add(t)
 }
 
 // Delete removes a run entirely. It exists so a submitter can roll back a
@@ -216,7 +332,9 @@ func (s *MemStore) Delete(id string) error {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	if t, ok := sh.runs[id]; ok {
-		if !t.run.State.Terminal() {
+		if t.run.State.Terminal() {
+			s.retain.remove(t)
+		} else {
 			close(t.done) // release any waiter; they'll re-read the last snapshot
 		}
 		delete(sh.runs, id)
@@ -240,16 +358,27 @@ func (s *MemStore) Get(id string) (Run, error) {
 // List returns snapshots of every run in CompareRuns order: oldest first,
 // ties broken by ID so the order is stable.
 func (s *MemStore) List() []Run {
+	out := s.Select(func(string) bool { return true })
+	sort.Slice(out, func(i, j int) bool { return CompareRuns(out[i], out[j]) < 0 })
+	return out
+}
+
+// Select returns snapshots of the runs whose IDs match, in no particular
+// order. It is List without the sort, for callers that want a subset and
+// no order: WAL compaction snapshots one log shard's runs with it. match
+// is called with a shard lock held.
+func (s *MemStore) Select(match func(id string) bool) []Run {
 	var out []Run
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, t := range sh.runs {
-			out = append(out, t.run)
+		for id, t := range sh.runs {
+			if match(id) {
+				out = append(out, t.run)
+			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return CompareRuns(out[i], out[j]) < 0 })
 	return out
 }
 
@@ -269,7 +398,9 @@ func (s *MemStore) Len() int {
 // keep remain, and returns how many were evicted. Queued and running runs
 // are never touched. keep <= 0 is a no-op (unlimited retention). The
 // dispatcher calls this after each finish so a long-running dagd holds a
-// bounded history instead of growing without bound.
+// bounded history instead of growing without bound. Victims are popped off
+// the retention index, so a call costs O(evicted · log retained) however
+// long the history is.
 func (s *MemStore) EvictTerminal(keep int) int {
 	return len(s.EvictTerminalIDs(keep))
 }
@@ -283,36 +414,25 @@ func (s *MemStore) EvictTerminalIDs(keep int) []string {
 	if keep <= 0 {
 		return nil
 	}
-	var terminal []Run
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, t := range sh.runs {
-			if t.run.State.Terminal() && t.run.FinishedAt != nil {
-				terminal = append(terminal, t.run)
-			}
-		}
-		sh.mu.RUnlock()
+	var victims []*tracked
+	s.retain.mu.Lock()
+	for len(s.retain.heap) > keep {
+		victims = append(victims, s.retain.removeLocked(0))
 	}
-	excess := len(terminal) - keep
-	if excess <= 0 {
+	s.retain.mu.Unlock()
+	if len(victims) == 0 {
 		return nil
 	}
-	sort.Slice(terminal, func(i, j int) bool {
-		if !terminal[i].FinishedAt.Equal(*terminal[j].FinishedAt) {
-			return terminal[i].FinishedAt.Before(*terminal[j].FinishedAt)
-		}
-		return CompareRuns(terminal[i], terminal[j]) < 0
-	})
-	var evicted []string
-	for _, f := range terminal[:excess] {
-		sh := s.shardFor(f.ID)
+	evicted := make([]string, 0, len(victims))
+	for _, t := range victims {
+		id := t.run.ID
+		sh := s.shardFor(id)
 		sh.mu.Lock()
-		// Re-check under the write lock: a concurrent evictor may have
-		// removed it already.
-		if t, ok := sh.runs[f.ID]; ok && t.run.State.Terminal() {
-			delete(sh.runs, f.ID)
-			evicted = append(evicted, f.ID)
+		// A Delete or Restore between the pop and this lock has already
+		// removed or replaced the entry, so it is not this call's to evict.
+		if sh.runs[id] == t {
+			delete(sh.runs, id)
+			evicted = append(evicted, id)
 		}
 		sh.mu.Unlock()
 	}
@@ -415,6 +535,7 @@ func (s *MemStore) Finish(id string, result *Result, err error) (Run, error) {
 	}
 	redactEdges(&t.run)
 	close(t.done)
+	s.retain.add(t)
 	return t.run, nil
 }
 
@@ -495,6 +616,7 @@ func (s *MemStore) Cancel(id string) (Run, error) {
 		t.run.FinishedAt = &now
 		redactEdges(&t.run)
 		close(t.done)
+		s.retain.add(t)
 		return t.run, nil
 	case StateRunning:
 		if t.cancel != nil {

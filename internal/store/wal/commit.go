@@ -60,6 +60,14 @@ func (gc *groupCommit) ticket() uint64 {
 	return t
 }
 
+// latest returns the most recent ticket issued. Called with the shard lock
+// held, it covers every record already written to the shard.
+func (gc *groupCommit) latest() uint64 {
+	gc.mu.Lock()
+	defer gc.mu.Unlock()
+	return gc.written
+}
+
 // await blocks until ticket seq is durable (covered by an fsync or a
 // segment seal) or its batch's fsync failed.
 func (gc *groupCommit) await(seq uint64) error {
@@ -190,6 +198,9 @@ func (gc *groupCommit) commit(sh *walShard) bool {
 	if seg == nil {
 		err = errors.New("wal: shard has no active segment")
 	} else {
+		if sh.store.opts.beforeSync != nil {
+			sh.store.opts.beforeSync()
+		}
 		t0 := time.Now()
 		err = seg.Sync()
 		if err == nil {

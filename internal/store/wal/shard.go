@@ -144,8 +144,9 @@ func (sh *walShard) rotateLocked() error {
 // doCompact runs one background compaction. The shard lock is held only for
 // phase 1 — allocating the snapshot's sequence number and rotating to a
 // fresh active segment (the "swap") — so the write path never stalls behind
-// the snapshot itself. Phase 2 encodes this shard's surviving runs, installs
-// the snapshot atomically, and drops every file sealed before it.
+// the snapshot itself. Phase 2 encodes this shard's surviving runs, in no
+// particular order (replay folds records by run ID), installs the snapshot
+// atomically, and drops every file sealed before it.
 //
 // The snapshot may fold in state from records appended after the swap; that
 // only ever makes recovery strictly newer, never loses an acknowledged
@@ -187,14 +188,12 @@ func (sh *walShard) doCompact() {
 		sh.compacting = false
 		sh.mu.Unlock()
 	}
-	runs := sh.store.mem.List()
+	runs := sh.store.mem.Select(func(id string) bool {
+		return shardIndex(id, len(sh.store.shards)) == sh.index
+	})
 	var buf []byte
-	count := 0
 	var err error
 	for i := range runs {
-		if shardIndex(runs[i].ID, len(sh.store.shards)) != sh.index {
-			continue
-		}
 		rec := record{Op: opPut, Run: &runs[i]}
 		if cancelReq[runs[i].ID] && !runs[i].State.Terminal() {
 			rec.Op = opCancelReq
@@ -203,7 +202,6 @@ func (sh *walShard) doCompact() {
 			fail(err)
 			return
 		}
-		count++
 	}
 	if err := writeFileAtomic(sh.dir, snapshotName(snapSeq), buf); err != nil {
 		fail(err)
@@ -227,7 +225,7 @@ func (sh *walShard) doCompact() {
 		}
 	}
 
-	if dropped := base - count; dropped > 0 {
+	if dropped := base - len(runs); dropped > 0 {
 		sh.met.reclaimed.Add(float64(dropped))
 	}
 	sh.met.compactions.Inc()

@@ -136,6 +136,9 @@ type Options struct {
 	// fsync per appended record. Test-only: it exists so BenchmarkWALAppend
 	// can measure group commit against the baseline it replaced.
 	syncEveryRecord bool
+	// beforeSync, when set, runs before each group-commit fsync. Test-only:
+	// it lets a test hold a batch undurable for as long as it needs.
+	beforeSync func()
 }
 
 func (o Options) withDefaults() Options {
@@ -485,8 +488,10 @@ func (s *Store) Delete(id string) error {
 
 // EvictTerminal evicts oldest-finished terminal runs past keep, logging a
 // deletion per victim so replay converges to the same bounded history. The
-// deletions are appended per shard and awaited once per shard (group commit
-// covers a whole batch with one fsync).
+// victims come off the in-memory store's retention index, so the cost is
+// O(evicted · log retained) plus one record per victim, not a history
+// scan. The deletions are appended per shard and awaited once per shard
+// (group commit covers a whole batch with one fsync).
 func (s *Store) EvictTerminal(keep int) int {
 	ids := s.mem.EvictTerminalIDs(keep)
 	if len(ids) == 0 {
@@ -534,10 +539,30 @@ func (s *Store) Len() int { return s.mem.Len() }
 // CountByState returns per-state run counts (read-only).
 func (s *Store) CountByState() map[run.State]int { return s.mem.CountByState() }
 
-// Await blocks until the run is terminal or ctx is done (read-only; parks
-// on the in-memory done channel, no log involvement).
+// Await blocks until the run is terminal or ctx is done. It parks on the
+// in-memory done channel, which the transition closes before its record is
+// appended; so a terminal snapshot is returned only once that record is
+// durable. Taking the shard lock waits out the append (the transition holds
+// the lock through it), and the shard's latest ticket then covers the
+// record. Awaiting a run that was already terminal therefore costs at most
+// the shard's in-flight group commit. An error here means the terminal
+// record's fsync failed; the snapshot is returned with it.
 func (s *Store) Await(ctx context.Context, id string) (run.Run, error) {
-	return s.mem.Await(ctx, id)
+	r, err := s.mem.Await(ctx, id)
+	if err != nil || !r.State.Terminal() {
+		return r, err
+	}
+	sh := s.shardFor(id)
+	var ticket uint64
+	sh.mu.Lock()
+	if sh.gc != nil {
+		ticket = sh.gc.latest()
+	}
+	sh.mu.Unlock()
+	if err := sh.waitDurable(ticket); err != nil {
+		return r, fmt.Errorf("wal: terminal record of %s not durable: %w", id, err)
+	}
+	return r, nil
 }
 
 // Close seals every shard: stops the committers (draining a final batch),
